@@ -21,7 +21,8 @@
 //!   (`SR001`–`SR004`): shelf depth vs. dependence runs, MSHR demand,
 //!   per-thread queue shares, zero-capacity resources.
 //! * [`preflight`] — the campaign pre-flight bundle: config lint + program
-//!   lint + adequacy over the exact per-thread programs of a queued run.
+//!   lint + adequacy over the exact per-thread programs of a queued run
+//!   ([`preflight_linted`] takes memoized program-lint findings).
 //!
 //! The registry of every code ([`REGISTRY`], [`code_info`],
 //! [`render_code_table`]) is the single source of truth for severities and
@@ -74,9 +75,29 @@ pub fn preflight(
     cfg: &shelfsim_core::CoreConfig,
     programs: &[shelfsim_workload::program::Program],
 ) -> Report {
+    preflight_with(cfg, programs.iter().map(|p| (p, lint_program(p, None))))
+}
+
+/// [`preflight`] with each program's config-independent findings —
+/// `lint_program(p, None)` — supplied by the caller, which may compute them
+/// once per program and reuse them across design points. The config lint
+/// and adequacy passes still run here. The report holds exactly the
+/// supplied program findings, so a caller that passes only their errors
+/// gets [`preflight`]'s errors, and therefore its verdict.
+pub fn preflight_linted(
+    cfg: &shelfsim_core::CoreConfig,
+    programs: &[(&shelfsim_workload::program::Program, &[Diagnostic])],
+) -> Report {
+    preflight_with(cfg, programs.iter().map(|&(p, lint)| (p, lint.to_vec())))
+}
+
+fn preflight_with<'a>(
+    cfg: &shelfsim_core::CoreConfig,
+    programs: impl Iterator<Item = (&'a shelfsim_workload::program::Program, Vec<Diagnostic>)>,
+) -> Report {
     let mut diags = lint_config(cfg);
-    for p in programs {
-        diags.extend(lint_program(p, None));
+    for (p, lint) in programs {
+        diags.extend(lint);
         diags.extend(check_adequacy(p, cfg, None));
     }
     Report::new(diags)

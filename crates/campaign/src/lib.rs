@@ -59,6 +59,11 @@
 //! [`ResultCache`] dedupes requested runs against all merged history by
 //! config-hash key, and [`pareto_report`] reproduces the paper's Fig 13
 //! STP / energy-delay / area trade-off over the journal.
+//!
+//! Workers warm each mix once: [`dispatch_order`] groups the pending runs
+//! by `(mix, seed)` and [`WorkerScratch`] clones the mix's warmed
+//! [`shelfsim_core::WarmState`] into every design point that shares its
+//! hierarchy and predictor.
 
 pub mod cache;
 pub mod fault;
@@ -77,7 +82,8 @@ pub use pareto::{pareto_report, ParetoPoint, ParetoReport};
 pub use pool::{shard_plan, StealQueues};
 pub use report::CampaignReport;
 pub use runner::{
-    run_campaign, FailureKind, RunFailure, RunOutcome, RunRecord, RunStatus, WorkerScratch,
+    dispatch_order, dispatch_plan, run_campaign, warm_groups, FailureKind, RunFailure, RunOutcome,
+    RunRecord, RunStatus, WorkerScratch,
 };
 pub use spec::{CampaignSpec, RunSpec};
 pub use sweep::SweepSpec;

@@ -4,7 +4,8 @@
 //! a handful of runs the contention is irrelevant, but a full-matrix sweep
 //! (thousands of short runs) turns the single lock into a serialization
 //! point. Here each worker owns a local deque seeded with a contiguous
-//! shard of the matrix; it pops from the front of its own deque and, when
+//! shard of the job list (the campaign runner groups that list by mix, see
+//! `runner::dispatch_order`); it pops from the front of its own deque and, when
 //! empty, steals the *back half* of the fullest victim's deque (steal-half
 //! amortizes the lock traffic: a worker that steals N/2 jobs next contends
 //! after N/2 pops, not after one).
@@ -24,18 +25,24 @@ pub struct StealQueues {
 
 impl StealQueues {
     /// Distributes `jobs` across `workers` local deques in contiguous
-    /// shards (worker 0 gets the first ⌈n/w⌉ jobs, and so on) — the same
-    /// plan [`shard_plan`] prints for `--dry-run`.
+    /// shards (worker 0 gets the first ⌈n/w⌉ jobs, and so on) — the plan
+    /// [`shard_plan`] describes.
     pub fn new(jobs: Vec<usize>, workers: usize) -> Self {
-        let workers = workers.max(1);
-        let mut queues: Vec<VecDeque<usize>> = (0..workers).map(|_| VecDeque::new()).collect();
-        let chunk = jobs.len().div_ceil(workers).max(1);
-        for (i, job) in jobs.into_iter().enumerate() {
-            queues[(i / chunk).min(workers - 1)].push_back(job);
-        }
         StealQueues {
-            queues: queues.into_iter().map(Mutex::new).collect(),
+            queues: shard_plan(jobs.len(), workers)
+                .into_iter()
+                .map(|(start, len)| Mutex::new(jobs[start..start + len].iter().copied().collect()))
+                .collect(),
         }
+    }
+
+    /// Snapshot of every worker's deque, front first (racy while workers
+    /// run; exact before they start).
+    pub fn deques(&self) -> Vec<Vec<usize>> {
+        self.queues
+            .iter()
+            .map(|q| q.lock().expect("deque").iter().copied().collect())
+            .collect()
     }
 
     /// Number of worker deques.
@@ -97,7 +104,8 @@ impl StealQueues {
 }
 
 /// The initial contiguous shard plan [`StealQueues::new`] uses, as
-/// `(start, len)` per worker — printed by `shelfsim sweep --dry-run`.
+/// `(start, len)` per worker over its job list — printed by
+/// `shelfsim sweep --dry-run`.
 pub fn shard_plan(jobs: usize, workers: usize) -> Vec<(usize, usize)> {
     let workers = workers.max(1);
     let chunk = jobs.div_ceil(workers).max(1);

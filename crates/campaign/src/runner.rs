@@ -9,24 +9,48 @@ use crate::journal::{Journal, JournalEntry, ShardWriter, ShardedJournal};
 use crate::pool::StealQueues;
 use crate::report::CampaignReport;
 use crate::spec::{CampaignSpec, RunSpec};
-use shelfsim_core::{Completion, SimError, Simulation, Watchdog};
+use shelfsim_analyze::{Diagnostic, Severity};
+use shelfsim_core::sim::DEFAULT_FUNCTIONAL_WARMUP;
+use shelfsim_core::{Completion, CoreConfig, SimError, Simulation, WarmState, Watchdog};
 use shelfsim_workload::Program;
 use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Mutex;
 
-/// Per-worker scratch reused across runs (arena-style): memoizes
-/// `build_program` results keyed by `(benchmark, program seed)`. A sweep
-/// matrix re-runs the same mixes against every design point, and a single
-/// run builds its programs up to three times (pre-flight, validation tier,
-/// attempt) — the memo collapses all of those to one generation each.
+/// Per-worker scratch reused across runs (arena-style).
+///
+/// * A program memo keyed by `(benchmark, program seed)`. A sweep matrix
+///   re-runs the same mixes against every design point, and a single run
+///   builds its programs up to three times (pre-flight, validation tier,
+///   attempt) — the memo collapses all of those to one generation each.
+///   Next to each program it keeps the errors among the program's
+///   config-independent pre-flight lint findings, computed on first use.
+/// * A one-entry warm memo: the [`WarmState`] of the last run's mix. The
+///   paper's design points share one hierarchy and one predictor, and
+///   [`run_campaign`] hands a worker each mix's design points back to back,
+///   so every design after the first clones the memo instead of
+///   re-warming. The memo is replaced only after a warm-up completes, so a
+///   panicking run cannot leave a half-built state behind, and it holds at
+///   most one state per worker.
 #[derive(Default)]
 pub struct WorkerScratch {
-    programs: HashMap<(String, u64), Program>,
+    programs: HashMap<(String, u64), MemoProgram>,
+    warm: Option<WarmState>,
     /// Programs generated from scratch (memo misses).
     pub builds: usize,
     /// Programs served from the memo.
     pub hits: usize,
+    /// Warm states built from scratch (warm-memo misses).
+    pub warm_builds: usize,
+    /// Simulations started from the warm memo.
+    pub warm_hits: usize,
+}
+
+/// A memoized program and, once a pre-flight has needed them, the errors
+/// among its `lint_program(program, None)` findings.
+struct MemoProgram {
+    program: Program,
+    lint_errors: Option<Vec<Diagnostic>>,
 }
 
 impl WorkerScratch {
@@ -35,28 +59,117 @@ impl WorkerScratch {
         Self::default()
     }
 
-    /// The exact per-thread `(name, program)` pairs `spec` simulates,
-    /// memoized. Errors with the unknown benchmark's message (the same
-    /// text `Simulation::from_names` produces, so the `Config` failure
-    /// taxonomy is unchanged).
-    pub fn programs_for(&mut self, spec: &RunSpec) -> Result<Vec<(String, Program)>, String> {
-        let mut out = Vec::with_capacity(spec.mix.len());
+    /// Memoizes the programs `spec` simulates and returns their memo keys
+    /// in thread order. Errors with the unknown benchmark's message (the
+    /// same text `Simulation::from_names` produces, so the `Config`
+    /// failure taxonomy is unchanged).
+    fn memoize(&mut self, spec: &RunSpec) -> Result<Vec<(String, u64)>, String> {
+        let mut keys = Vec::with_capacity(spec.mix.len());
         for (t, name) in spec.mix.iter().enumerate() {
-            let seed = shelfsim_core::thread_program_seed(spec.seed, t);
-            let key = (name.clone(), seed);
-            if let Some(p) = self.programs.get(&key) {
+            let key = (
+                name.clone(),
+                shelfsim_core::thread_program_seed(spec.seed, t),
+            );
+            if self.programs.contains_key(&key) {
                 self.hits += 1;
-                out.push((name.clone(), p.clone()));
-                continue;
+            } else {
+                let profile = shelfsim_workload::suite::by_name(name)
+                    .ok_or_else(|| format!("unknown benchmark `{name}`"))?;
+                let program = profile.build_program(key.1);
+                self.builds += 1;
+                self.programs.insert(
+                    key.clone(),
+                    MemoProgram {
+                        program,
+                        lint_errors: None,
+                    },
+                );
             }
-            let profile = shelfsim_workload::suite::by_name(name)
-                .ok_or_else(|| format!("unknown benchmark `{name}`"))?;
-            let program = profile.build_program(seed);
-            self.builds += 1;
-            self.programs.insert(key, program.clone());
-            out.push((name.clone(), program));
+            keys.push(key);
         }
-        Ok(out)
+        Ok(keys)
+    }
+
+    /// The exact per-thread `(name, program)` pairs `spec` simulates,
+    /// memoized. Errors with the unknown benchmark's message.
+    pub fn programs_for(&mut self, spec: &RunSpec) -> Result<Vec<(String, Program)>, String> {
+        let keys = self.memoize(spec)?;
+        Ok(keys
+            .into_iter()
+            .map(|key| {
+                let program = self.programs[&key].program.clone();
+                (key.0, program)
+            })
+            .collect())
+    }
+
+    /// The error findings of the static-analysis pre-flight of `spec`
+    /// resolved to `cfg`, in report order: exactly the errors
+    /// [`shelfsim_analyze::preflight`] reports over the run's programs.
+    /// Each program's config-independent lint runs once per worker, and
+    /// only its errors are kept: warnings and notes never decide a verdict,
+    /// and a large program has thousands of them. Errors with the unknown
+    /// benchmark's message.
+    pub(crate) fn preflight_errors(
+        &mut self,
+        spec: &RunSpec,
+        cfg: &CoreConfig,
+    ) -> Result<Vec<Diagnostic>, String> {
+        let keys = self.memoize(spec)?;
+        for key in &keys {
+            let memo = self.programs.get_mut(key).expect("memoized above");
+            if memo.lint_errors.is_none() {
+                let mut lint = shelfsim_analyze::lint_program(&memo.program, None);
+                lint.retain(|d| d.severity == Severity::Error);
+                memo.lint_errors = Some(lint);
+            }
+        }
+        let linted: Vec<(&Program, &[Diagnostic])> = keys
+            .iter()
+            .map(|key| {
+                let memo = &self.programs[key];
+                (
+                    &memo.program,
+                    memo.lint_errors.as_deref().unwrap_or_default(),
+                )
+            })
+            .collect();
+        let report = shelfsim_analyze::preflight_linted(cfg, &linted);
+        Ok(report
+            .diagnostics()
+            .iter()
+            .filter(|d| d.severity == Severity::Error)
+            .cloned()
+            .collect())
+    }
+
+    /// The simulation of `spec` resolved to `cfg` —
+    /// `Simulation::from_programs` over the run's programs — started from
+    /// the warm memo when it matches; otherwise the warm state is built
+    /// and memoized. Errors with the unknown benchmark's message.
+    pub fn simulation(&mut self, spec: &RunSpec, cfg: CoreConfig) -> Result<Simulation, String> {
+        let keys = self.memoize(spec)?;
+        let programs = keys.iter().map(|key| &self.programs[key].program);
+        // A stale state is dropped before the build, not after it.
+        let memo = self
+            .warm
+            .take()
+            .filter(|w| w.matches(&cfg, programs.clone(), DEFAULT_FUNCTIONAL_WARMUP));
+        let warm = match memo {
+            Some(w) => {
+                self.warm_hits += 1;
+                w
+            }
+            None => {
+                let owned = programs.cloned().collect();
+                let w = WarmState::build(&cfg, owned, DEFAULT_FUNCTIONAL_WARMUP);
+                self.warm_builds += 1;
+                w
+            }
+        };
+        self.warm = Some(warm.clone());
+        let names = keys.into_iter().map(|(name, _)| name).collect();
+        Ok(Simulation::from_warm(cfg, names, warm, spec.seed))
     }
 }
 
@@ -389,19 +502,23 @@ fn run_attempt(
         let cfg = spec
             .resolved_config()
             .map_err(|msg| fail(FailureKind::Config, None, msg))?;
-        let programs = scratch
-            .programs_for(spec)
-            .map_err(|msg| fail(FailureKind::Config, None, msg))?;
         if validate {
             // Differential tier: the run's exact config and programs must
             // track the functional reference before the timing run counts.
-            let bare: Vec<Program> = programs.iter().map(|(_, p)| p.clone()).collect();
-            validate_run(&cfg, &bare, &fail)?;
+            let programs: Vec<Program> = scratch
+                .programs_for(spec)
+                .map_err(|msg| fail(FailureKind::Config, None, msg))?
+                .into_iter()
+                .map(|(_, p)| p)
+                .collect();
+            validate_run(&cfg, &programs, &fail)?;
         }
         // The energy model depends only on the config; capture it before
         // `cfg` moves into the simulation.
         let energy = shelfsim_energy::EnergyModel::for_config(&cfg);
-        let mut sim = Simulation::from_programs(cfg, programs, spec.seed);
+        let mut sim = scratch
+            .simulation(spec, cfg)
+            .map_err(|msg| fail(FailureKind::Config, None, msg))?;
         if diagnostics {
             // Escalation tier: keep a commit log so a reproduced failure
             // carries pipeline context. With `--features sanitize` the
@@ -466,20 +583,9 @@ fn run_attempt(
 /// its established message).
 fn preflight_check(spec: &RunSpec, scratch: &mut WorkerScratch) -> Option<String> {
     let cfg = spec.resolved_config().ok()?;
-    let programs: Vec<Program> = scratch
-        .programs_for(spec)
-        .ok()?
-        .into_iter()
-        .map(|(_, p)| p)
-        .collect();
-    let report = shelfsim_analyze::preflight(&cfg, &programs);
-    report.has_errors().then(|| {
-        let lines: Vec<String> = report
-            .diagnostics()
-            .iter()
-            .filter(|d| d.severity == shelfsim_analyze::Severity::Error)
-            .map(|d| d.to_string())
-            .collect();
+    let errors = scratch.preflight_errors(spec, &cfg).ok()?;
+    (!errors.is_empty()).then(|| {
+        let lines: Vec<String> = errors.iter().map(|d| d.to_string()).collect();
         lines.join("; ")
     })
 }
@@ -556,6 +662,41 @@ fn execute(spec: &RunSpec, campaign: &CampaignSpec, scratch: &mut WorkerScratch)
     }
 }
 
+/// The order in which [`run_campaign`] hands `misses` (run indices) to its
+/// worker deques. Runs are grouped by `(mix, seed)`, ties broken by index,
+/// so each mix's design points run back to back on one worker and share
+/// its warmed state (see [`WorkerScratch`]). A campaign with a single-file
+/// `journal` keeps index order: its append order is a byte-for-byte
+/// resume contract.
+pub fn dispatch_order(spec: &CampaignSpec, mut misses: Vec<usize>) -> Vec<usize> {
+    if spec.journal.is_none() {
+        misses.sort_by_key(|&i| (&spec.runs[i].mix, spec.runs[i].seed, i));
+    }
+    misses
+}
+
+/// The initial per-worker deques [`run_campaign`] starts from: `misses` in
+/// [`dispatch_order`], split into contiguous shards by
+/// [`StealQueues::new`] over the campaign's effective worker count.
+pub fn dispatch_plan(spec: &CampaignSpec, misses: Vec<usize>) -> Vec<Vec<usize>> {
+    StealQueues::new(dispatch_order(spec, misses), effective_workers(spec)).deques()
+}
+
+/// Splits a worker's deque into its warm groups: maximal stretches of runs
+/// sharing a `(mix, seed)`. The design points of a group that share a
+/// hierarchy and predictor warm the mix once.
+pub fn warm_groups<'a>(runs: &[RunSpec], deque: &'a [usize]) -> Vec<&'a [usize]> {
+    deque
+        .chunk_by(|&a, &b| runs[a].mix == runs[b].mix && runs[a].seed == runs[b].seed)
+        .collect()
+}
+
+/// Worker threads a campaign actually starts: `spec.workers`, at least
+/// one and at most one per run.
+fn effective_workers(spec: &CampaignSpec) -> usize {
+    spec.workers.clamp(1, spec.runs.len().max(1))
+}
+
 /// Runs a campaign to completion: dedupes the matrix against all merged
 /// journal history (legacy single-file and/or sharded), executes the cache
 /// misses on `spec.workers` threads via work-stealing deques with per-run
@@ -563,9 +704,11 @@ fn execute(spec: &RunSpec, campaign: &CampaignSpec, scratch: &mut WorkerScratch)
 /// never aborts the campaign — failed runs are retried, then quarantined,
 /// and the report carries partial results plus the error taxonomy.
 ///
-/// Each worker keeps a scratch arena (memoized program builds) for its
-/// whole lifetime and, when `spec.journal_dir` is set, appends outcomes to
-/// its own journal shard with no shared lock.
+/// Misses run in [`dispatch_order`], grouped by mix. Each worker keeps a
+/// [`WorkerScratch`] (memoized program builds and lint errors, plus the
+/// warmed state of its current mix) for its whole lifetime and, when
+/// `spec.journal_dir` is set, appends outcomes to its own journal shard
+/// with no shared lock.
 ///
 /// # Errors
 ///
@@ -586,7 +729,7 @@ pub fn run_campaign(spec: &CampaignSpec) -> std::io::Result<CampaignReport> {
         Some(p) => Some(Mutex::new(Journal::new(p).open_append()?)),
         None => None,
     };
-    let workers = spec.workers.clamp(1, spec.runs.len().max(1));
+    let workers = effective_workers(spec);
     let mut shard_writers: Vec<Option<ShardWriter>> = Vec::with_capacity(workers);
     for w in 0..workers {
         shard_writers.push(match &sharded {
@@ -596,7 +739,7 @@ pub fn run_campaign(spec: &CampaignSpec) -> std::io::Result<CampaignReport> {
     }
 
     let _quiet = QuietPanics::new(spec.quiet_panics);
-    let queues = StealQueues::new(admission.misses, workers);
+    let queues = StealQueues::new(dispatch_order(spec, admission.misses), workers);
     let finished: Mutex<Vec<(usize, RunRecord)>> = Mutex::new(Vec::new());
     let io_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
 
@@ -643,4 +786,69 @@ pub fn run_campaign(spec: &CampaignSpec) -> std::io::Result<CampaignReport> {
         .map(|r| r.expect("every run either resumed or executed"))
         .collect();
     Ok(CampaignReport::new(records, resumed))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every design on three mixes, plus a starved shelf variant of each
+    /// mix that the adequacy pass must reject.
+    fn specs() -> Vec<RunSpec> {
+        let designs: Vec<String> = shelfsim_analyze::DESIGN_NAMES
+            .iter()
+            .map(|d| (*d).to_owned())
+            .collect();
+        let mixes: Vec<Vec<String>> = [&["gcc", "mcf"][..], &["hmmer", "lbm"], &["mcf"]]
+            .iter()
+            .map(|m| m.iter().map(|b| (*b).to_owned()).collect())
+            .collect();
+        let mut runs = CampaignSpec::matrix(&designs, &mixes, 7, 100, 400);
+        for mix in &mixes {
+            let mut starved = runs[0].clone();
+            starved.index = runs.len();
+            starved.design = "shelf-inorder".to_owned();
+            starved.mix = mix.clone();
+            starved.overrides = vec![("shelf".to_owned(), "2".to_owned())];
+            runs.push(starved);
+        }
+        runs
+    }
+
+    #[test]
+    fn memoized_lint_gives_identical_preflight_verdicts_and_messages() {
+        let runs = specs();
+        let mut populated = WorkerScratch::new();
+        for r in &runs {
+            preflight_check(r, &mut populated);
+        }
+        let mut rejected = 0;
+        for r in &runs {
+            let cold = preflight_check(r, &mut WorkerScratch::new());
+            assert_eq!(preflight_check(r, &mut populated), cold, "{}", r.label());
+            rejected += usize::from(cold.is_some());
+
+            // The memoized errors are the unmemoized analysis's errors.
+            let cfg = r.resolved_config().expect("design");
+            let programs: Vec<Program> = WorkerScratch::new()
+                .programs_for(r)
+                .expect("suite mix")
+                .into_iter()
+                .map(|(_, p)| p)
+                .collect();
+            let direct: Vec<Diagnostic> = shelfsim_analyze::preflight(&cfg, &programs)
+                .diagnostics()
+                .iter()
+                .filter(|d| d.severity == Severity::Error)
+                .cloned()
+                .collect();
+            let memo = populated.preflight_errors(r, &cfg).expect("suite mix");
+            assert_eq!(memo, direct, "{}", r.label());
+        }
+        assert!(
+            rejected > 0 && rejected < runs.len(),
+            "{rejected} of {} rejected",
+            runs.len()
+        );
+    }
 }

@@ -1453,35 +1453,6 @@ fn sweep_matrix(args: &[String]) -> Result<String, CliError> {
     )
     .expect("write");
 
-    if dry_run {
-        let plan = shelfsim::shard_plan(admission.misses.len(), workers);
-        if json {
-            let shards: Vec<String> = plan
-                .iter()
-                .map(|&(start, len)| format!("{{\"start\":{start},\"len\":{len}}}"))
-                .collect();
-            return Ok(format!(
-                "{{\"runs\":{},\"hits\":{},\"misses\":{},\"workers\":{},\"shards\":[{}]}}\n",
-                runs.len(),
-                admission.hits.len(),
-                admission.misses.len(),
-                workers,
-                shards.join(",")
-            ));
-        }
-        let mut out = header;
-        for (w, &(start, len)) in plan.iter().enumerate() {
-            writeln!(
-                out,
-                "  worker {w}: {len} pending runs (slots {start}..{})",
-                start + len
-            )
-            .expect("write");
-        }
-        out.push_str("dry run: 0 cycles simulated\n");
-        return Ok(out);
-    }
-
     let mut spec = shelfsim::CampaignSpec::new(runs)
         .with_watchdog(watchdog)
         .with_max_attempts(attempts)
@@ -1490,6 +1461,62 @@ fn sweep_matrix(args: &[String]) -> Result<String, CliError> {
     if let Some(dir) = &journal_dir {
         spec = spec.with_journal_dir(dir);
     }
+
+    if dry_run {
+        // Exactly the deques the pool starts from: pending runs grouped by
+        // mix, one contiguous shard per worker.
+        let pending = admission.misses.len();
+        let deques = shelfsim::campaign::dispatch_plan(&spec, admission.misses);
+        let plan = shelfsim::shard_plan(pending, workers);
+        if json {
+            let shards: Vec<String> = plan
+                .iter()
+                .zip(&deques)
+                .map(|(&(start, len), deque)| {
+                    let ids: Vec<String> = deque.iter().map(usize::to_string).collect();
+                    format!(
+                        "{{\"start\":{start},\"len\":{len},\"runs\":[{}],\"warm_groups\":{}}}",
+                        ids.join(","),
+                        shelfsim::campaign::warm_groups(&spec.runs, deque).len()
+                    )
+                })
+                .collect();
+            return Ok(format!(
+                "{{\"runs\":{},\"hits\":{},\"misses\":{},\"workers\":{},\"shards\":[{}]}}\n",
+                spec.runs.len(),
+                admission.hits.len(),
+                pending,
+                workers,
+                shards.join(",")
+            ));
+        }
+        let mut out = header;
+        for (w, (&(start, len), deque)) in plan.iter().zip(&deques).enumerate() {
+            let groups = shelfsim::campaign::warm_groups(&spec.runs, deque);
+            writeln!(
+                out,
+                "  worker {w}: {len} pending runs in {} warm groups (slots {start}..{})",
+                groups.len(),
+                start + len
+            )
+            .expect("write");
+            for group in groups {
+                let r = &spec.runs[group[0]];
+                let ids: Vec<String> = group.iter().map(|i| format!("#{i}")).collect();
+                writeln!(
+                    out,
+                    "    {} seed {}: {}",
+                    r.mix.join("+"),
+                    r.seed,
+                    ids.join(" ")
+                )
+                .expect("write");
+            }
+        }
+        out.push_str("dry run: 0 cycles simulated\n");
+        return Ok(out);
+    }
+
     let report = shelfsim::run_campaign(&spec).map_err(|e| err(format!("sweep journal: {e}")))?;
 
     // Pareto scores over the full merged history when a journal directory
@@ -2142,6 +2169,80 @@ mod tests {
         let out = run_cli(&args(&format!("{cmd} --dry-run --json"))).expect("json dry run");
         assert!(out.contains("\"misses\":0"), "{out}");
         assert!(out.contains("\"shards\":["), "{out}");
+    }
+
+    #[test]
+    fn sweep_dry_run_lists_the_pools_initial_deques() {
+        let dir = sweep_dir("plan");
+        let cmd = format!(
+            "sweep --designs base64,shelf-opt,base128 --thread-counts 2,4 --mixes 2 \
+             --workers 3 --warmup 100 --measure 400 --journal-dir {dir} --dry-run"
+        );
+        let json = run_cli(&args(&format!("{cmd} --json"))).expect("json dry run");
+        let field = |s: &str, name: &str| -> Vec<String> {
+            s.split(&format!("\"{name}\":"))
+                .skip(1)
+                .map(|rest| {
+                    let end = if rest.starts_with('[') {
+                        rest.find(']').expect("list end") + 1
+                    } else {
+                        rest.find([',', '}']).expect("field end")
+                    };
+                    rest[..end].to_owned()
+                })
+                .collect()
+        };
+        let listed: Vec<Vec<usize>> = field(&json, "runs")
+            .iter()
+            .filter(|v| v.starts_with('['))
+            .map(|v| {
+                v.trim_matches(['[', ']'])
+                    .split(',')
+                    .filter(|x| !x.is_empty())
+                    .map(|x| x.parse().expect("run index"))
+                    .collect()
+            })
+            .collect();
+
+        // The pool's deques, rebuilt independently: every run is pending,
+        // grouped by (mix, seed) with ties by index, in contiguous shards.
+        let runs = shelfsim::SweepSpec {
+            designs: ["base64", "shelf-opt", "base128"]
+                .map(str::to_owned)
+                .to_vec(),
+            thread_counts: vec![2, 4],
+            mixes_per_count: 2,
+            seed: 7,
+            warmup: 100,
+            measure: 400,
+        }
+        .expand();
+        let mut order: Vec<usize> = (0..runs.len()).collect();
+        order.sort_by(|&a, &b| {
+            (&runs[a].mix, runs[a].seed, a).cmp(&(&runs[b].mix, runs[b].seed, b))
+        });
+        let deques = shelfsim::campaign::StealQueues::new(order, 3).deques();
+        assert_eq!(listed, deques, "{json}");
+
+        // Each shard's warm-group count is its number of distinct mixes,
+        // and the text rendering lists one line per group.
+        let groups: Vec<usize> = deques
+            .iter()
+            .map(|d| {
+                let mut mixes: Vec<&Vec<String>> = d.iter().map(|&i| &runs[i].mix).collect();
+                mixes.dedup();
+                mixes.len()
+            })
+            .collect();
+        let reported: Vec<usize> = field(&json, "warm_groups")
+            .iter()
+            .map(|v| v.parse().expect("count"))
+            .collect();
+        assert_eq!(reported, groups, "{json}");
+        let text = run_cli(&args(&cmd)).expect("dry run");
+        let group_lines = text.lines().filter(|l| l.contains(" seed 7: #")).count();
+        assert_eq!(group_lines, groups.iter().sum::<usize>(), "{text}");
+        assert!(text.contains("dry run: 0 cycles simulated"), "{text}");
     }
 
     #[test]

@@ -5,9 +5,10 @@
 use crate::config::CoreConfig;
 use crate::counters::Counters;
 use crate::pipeline::{Core, ThreadOccupancy};
+use crate::warm::WarmState;
 use shelfsim_mem::CacheStats;
 use shelfsim_stats::WeightedCdf;
-use shelfsim_workload::{suite, BenchmarkProfile, Program, TraceSource};
+use shelfsim_workload::{suite, BenchmarkProfile, Program};
 
 /// Instructions of functional (atomic-mode) warm-up per thread applied when
 /// a [`Simulation`] is built: trains branch predictors and warms caches
@@ -275,10 +276,14 @@ impl Simulation {
     }
 
     /// Builds a simulation from pre-built programs, one `(benchmark name,
-    /// program)` pair per thread. Callers that run many simulations over a
-    /// repeating workload set (the campaign worker pool) memoize
+    /// program)` pair per thread: builds the programs' [`WarmState`]
+    /// ([`DEFAULT_FUNCTIONAL_WARMUP`] instructions per thread) and installs
+    /// it with [`Simulation::from_warm`]. Callers that run many simulations
+    /// over a repeating workload set (the campaign worker pool) memoize
     /// `build_program` results and feed them in here, skipping the
-    /// per-run program-generation cost. The programs must be exactly what
+    /// per-run program-generation cost; a caller that also holds a
+    /// matching [`WarmState`] clones it into [`Simulation::from_warm`]
+    /// instead of re-warming. The programs must be exactly what
     /// `profile.build_program(thread_program_seed(seed, t))` would produce
     /// for the paired names, or results stop matching their run keys.
     ///
@@ -287,22 +292,30 @@ impl Simulation {
     /// Panics if the program count does not match `cfg.threads`.
     pub fn from_programs(cfg: CoreConfig, programs: Vec<(String, Program)>, seed: u64) -> Self {
         assert_eq!(programs.len(), cfg.threads, "one program per thread");
-        let names: Vec<String> = programs.iter().map(|(n, _)| n.clone()).collect();
+        let (names, programs): (Vec<String>, Vec<Program>) = programs.into_iter().unzip();
+        let warm = WarmState::build(&cfg, programs, DEFAULT_FUNCTIONAL_WARMUP);
+        Self::from_warm(cfg, names, warm, seed)
+    }
+
+    /// Builds a simulation of `cfg` starting from `warm`, the warmed state
+    /// of the per-thread programs named by `names`. A `warm` that
+    /// [`WarmState::matches`] `cfg` and the programs with
+    /// [`DEFAULT_FUNCTIONAL_WARMUP`] gives results bit-identical to
+    /// [`Simulation::from_programs`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the name count does not match `cfg.threads` or `warm` was
+    /// built for a different hierarchy, predictor or thread count.
+    pub fn from_warm(cfg: CoreConfig, names: Vec<String>, warm: WarmState, seed: u64) -> Self {
+        assert_eq!(names.len(), cfg.threads, "one program per thread");
         let meta = RunMeta {
             seed,
             benchmarks: names.clone(),
             config_hash: cfg.stable_hash(),
         };
-        let traces: Vec<TraceSource> = programs
-            .into_iter()
-            .enumerate()
-            .map(|(t, (_, p))| TraceSource::new(p, t))
-            .collect();
-        let mut core = Core::new(cfg, traces);
-        core.warm_caches();
-        core.warm_functional(DEFAULT_FUNCTIONAL_WARMUP);
         Simulation {
-            core,
+            core: Core::from_warm(cfg, warm),
             names,
             meta,
             driven: 0,

@@ -6,6 +6,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use shelfsim_isa::{BranchInfo, DynInst, MemInfo, OpClass};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Base virtual address of a program's data segment.
 const DATA_BASE: u64 = 0x1000_0000;
@@ -18,17 +19,19 @@ const REPLAY_CAPACITY: usize = 8192;
 /// `TraceSource` walks the program's control-flow graph, drawing loop trip
 /// counts and data-dependent branch outcomes from a seeded RNG, and
 /// materializing memory addresses from each static instruction's access
-/// pattern. Every emitted instruction is retained in a bounded replay buffer
-/// so the core can *rewind* after a memory-order violation or memory
-/// dependence mispredict (paper §III-D: "cause a pipeline flush and restart
-/// at the mispredicted instruction") and receive byte-identical
-/// instructions.
+/// pattern. Every instruction emitted by [`TraceSource::fetch`] is retained
+/// in a bounded replay buffer so the core can *rewind* after a memory-order
+/// violation or memory dependence mispredict (paper §III-D: "cause a
+/// pipeline flush and restart at the mispredicted instruction") and receive
+/// byte-identical instructions.
 ///
 /// All code and data addresses are offset by a per-thread base so SMT
 /// threads, like the paper's multiprogrammed mixes, share no data.
 #[derive(Clone, Debug)]
 pub struct TraceSource {
-    program: Program,
+    /// Shared, not copied, when a source is cloned: the program is
+    /// immutable and can be hundreds of KB.
+    program: Arc<Program>,
     thread_base: u64,
     // CFG walk state.
     block: usize,
@@ -41,7 +44,9 @@ pub struct TraceSource {
     rng: SmallRng,
     // Stream state.
     next_seq: u64,
-    buffer: VecDeque<(u64, DynInst)>,
+    /// The replay window: the instructions with sequence numbers
+    /// `next_seq - buffer.len() .. next_seq`, oldest first.
+    buffer: VecDeque<DynInst>,
     /// When set, the next fetch replays from the buffer at this sequence.
     cursor: Option<u64>,
 }
@@ -75,9 +80,9 @@ impl TraceSource {
             chase_state: (0..n as u64).map(|i| i.wrapping_mul(0x9E37_79B9)).collect(),
             rng: SmallRng::seed_from_u64(seed),
             next_seq: 0,
-            buffer: VecDeque::with_capacity(REPLAY_CAPACITY),
+            buffer: VecDeque::new(),
             cursor: None,
-            program,
+            program: Arc::new(program),
         }
     }
 
@@ -114,12 +119,7 @@ impl TraceSource {
     /// Fetches the next dynamic instruction (replaying after a rewind).
     pub fn fetch(&mut self) -> (u64, DynInst) {
         if let Some(seq) = self.cursor {
-            let front = self
-                .buffer
-                .front()
-                .expect("replay cursor points into buffer")
-                .0;
-            let inst = self.buffer[(seq - front) as usize].1;
+            let inst = self.buffer[(seq - self.window_start()) as usize];
             let next = seq + 1;
             self.cursor = if next == self.next_seq {
                 None
@@ -134,8 +134,29 @@ impl TraceSource {
         if self.buffer.len() == REPLAY_CAPACITY {
             self.buffer.pop_front();
         }
-        self.buffer.push_back((seq, inst));
+        self.buffer.push_back(inst);
         (seq, inst)
+    }
+
+    /// Sequence number of the oldest instruction in the replay window
+    /// (`next_seq` when the window is empty).
+    fn window_start(&self) -> u64 {
+        self.next_seq - self.buffer.len() as u64
+    }
+
+    /// Fetches the next dynamic instruction without retaining it for
+    /// replay: the functional warm-up path, which never rewinds. A pending
+    /// replay is drained first; the replay window is then emptied, so it
+    /// stays contiguous and the instructions fetched this way can never be
+    /// rewound to.
+    pub fn fetch_unbuffered(&mut self) -> (u64, DynInst) {
+        if self.cursor.is_some() {
+            return self.fetch();
+        }
+        self.buffer.clear();
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        (seq, self.generate())
     }
 
     /// Rewinds the stream so the next fetch returns sequence `seq` again.
@@ -149,11 +170,7 @@ impl TraceSource {
             seq < self.next_seq,
             "cannot rewind to the future (seq {seq})"
         );
-        let front = self
-            .buffer
-            .front()
-            .map(|&(s, _)| s)
-            .expect("non-empty replay buffer");
+        let front = self.window_start();
         assert!(
             seq >= front,
             "seq {seq} fell out of the replay window (oldest {front})"
@@ -321,6 +338,55 @@ mod tests {
         assert_eq!(t.next_fetch_seq(), 5);
         let (seq, _) = t.fetch();
         assert_eq!(seq, 5);
+    }
+
+    #[test]
+    fn unbuffered_fetch_continues_the_same_stream() {
+        let mut a = source("gcc", 0);
+        let mut b = source("gcc", 0);
+        for _ in 0..3000 {
+            assert_eq!(a.fetch_unbuffered(), b.fetch());
+        }
+        // A pending replay is served before generation resumes.
+        for _ in 0..20 {
+            b.fetch();
+            a.fetch();
+        }
+        a.rewind_to(3010);
+        b.rewind_to(3010);
+        for _ in 0..40 {
+            assert_eq!(a.fetch_unbuffered(), b.fetch());
+        }
+        // Buffered fetches after an unbuffered run replay as usual.
+        let seq = a.fetch().0;
+        for _ in 0..10 {
+            a.fetch();
+        }
+        a.rewind_to(seq);
+        assert_eq!(a.fetch().0, seq);
+    }
+
+    #[test]
+    #[should_panic(expected = "fell out of the replay window")]
+    fn rewind_into_the_warmed_prefix_panics() {
+        let mut t = source("gcc", 0);
+        for _ in 0..100 {
+            t.fetch_unbuffered();
+        }
+        for _ in 0..5 {
+            t.fetch();
+        }
+        t.rewind_to(50);
+    }
+
+    #[test]
+    #[should_panic(expected = "fell out of the replay window")]
+    fn rewind_with_an_empty_window_panics() {
+        let mut t = source("gcc", 0);
+        for _ in 0..100 {
+            t.fetch_unbuffered();
+        }
+        t.rewind_to(99);
     }
 
     #[test]

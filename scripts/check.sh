@@ -159,6 +159,25 @@ merged_b="$(cat "$sweep_dir"/shard-*.jsonl | sort)"
   || { echo "FAIL: re-run must not change the journaled entry set"; exit 1; }
 rm -rf "$sweep_dir"
 
+echo "== sweep smoke: mix-grouped warm reuse gives the same results on any worker count"
+# Workers reuse each mix's warmed state across its design points; one worker
+# runs every group whole, two split the matrix (and may steal mid-group).
+# The journaled entries must be byte-identical either way.
+reuse_root="$(mktemp -d)"
+for w in 1 2; do
+  cargo run --release -q -p shelfsim-cli -- sweep \
+    --designs base64,shelf-opt,base128 --thread-counts 2 --mixes 2 \
+    --warmup 200 --measure 1500 --workers "$w" --journal-dir "$reuse_root/w$w" >/dev/null
+done
+solo="$(cat "$reuse_root"/w1/shard-*.jsonl | sort)"
+pair="$(cat "$reuse_root"/w2/shard-*.jsonl | sort)"
+[ "$(echo "$solo" | grep -c '"status":"ok"')" -eq 18 ] \
+  || { echo "FAIL: the 18-run matrix should complete"; echo "$solo"; exit 1; }
+[ "$solo" = "$pair" ] \
+  || { echo "FAIL: 1- and 2-worker sweeps must journal identical entries"; exit 1; }
+echo "warm-reuse smoke ok: 18 runs identical on 1 and 2 workers"
+rm -rf "$reuse_root"
+
 echo "== campaign bench smoke: BENCH_campaign.json is well-formed"
 python3 - BENCH_campaign.json <<'EOF'
 import json, sys
